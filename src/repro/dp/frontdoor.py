@@ -171,8 +171,14 @@ def inject_batch(
     tracer attached each packet still gets its own trace (begin/end
     must bracket each packet), so the batch simply loops ``inject``;
     otherwise hooks, plan, metadata template, and serializer resolve
-    once for the whole batch.
+    once for the whole batch.  A one-packet batch has nothing to
+    amortize and takes :func:`inject` directly: a fabric walk over
+    one-packet-per-node sweeps makes many of them.
     """
+    trace = trace if isinstance(trace, list) else list(trace)
+    if len(trace) == 1:
+        data, port = trace[0]
+        return BatchResult([inject(core, data, port, meter)])
     device = core.device
     outputs: List[Optional[PortOut]] = []
     if device.tracer is not None:
@@ -195,11 +201,9 @@ def inject_batch(
     ):
         from repro.dp import columnar
 
-        items = trace if isinstance(trace, list) else list(trace)
-        columnar_outputs = columnar.try_run_batch(core, items)
+        columnar_outputs = columnar.try_run_batch(core, trace)
         if columnar_outputs is not None:
             return BatchResult(columnar_outputs)
-        trace = items
     hooks = NULL_HOOKS if profiler is None else ProfileHooks(profiler)
     first_header = core.first_header()
     template = core.metadata_template
